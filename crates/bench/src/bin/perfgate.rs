@@ -132,8 +132,8 @@ fn parse_args() -> Args {
                     .get(i + 1)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--scale needs a number"));
-                if args.scale <= 0.0 {
-                    die("--scale must be positive");
+                if !(args.scale > 0.0 && args.scale.is_finite()) {
+                    die("--scale must be positive and finite");
                 }
                 i += 2;
             }
@@ -709,16 +709,30 @@ fn samples_json(samples: &[f64]) -> String {
     out
 }
 
-fn render_json(
-    date: &str,
-    commit: &str,
-    entries: &[Entry],
-    disk: &[DiskEntry],
-    serve: &[ServeEntry],
+/// One perfgate run's measurements and provenance: what the
+/// `BENCH_<date>.json` snapshot and the experiment store record.
+struct Snapshot<'a> {
+    date: &'a str,
+    commit: &'a str,
+    entries: &'a [Entry],
+    disk: &'a [DiskEntry],
+    serve: &'a [ServeEntry],
     rss_kib: u64,
     scale: f64,
     reps: usize,
-) -> String {
+}
+
+fn render_json(snap: &Snapshot) -> String {
+    let Snapshot {
+        date,
+        commit,
+        entries,
+        disk,
+        serve,
+        rss_kib,
+        scale,
+        reps,
+    } = *snap;
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": 3,\n");
@@ -865,18 +879,11 @@ fn latest_snapshot(dir: &str, exclude: &str) -> Option<String> {
 /// entry, plus the disk mixes (as `disk/<mix>`) and the serve sweep
 /// points (as `serve/shards-<n>`), so every gated number has a trend
 /// series.
-fn store_records(
-    commit: &str,
-    date: &str,
-    cfg_hash: &str,
-    entries: &[Entry],
-    disk: &[DiskEntry],
-    serve: &[ServeEntry],
-) -> Vec<StoreRecord> {
+fn store_records(snap: &Snapshot, cfg_hash: &str) -> Vec<StoreRecord> {
     let mut out = Vec::new();
     let base = |trace: &str, scheme: &str| StoreRecord {
-        commit: commit.into(),
-        date: date.into(),
+        commit: snap.commit.into(),
+        date: snap.date.into(),
         trace: trace.into(),
         scheme: scheme.into(),
         config_hash: cfg_hash.into(),
@@ -885,7 +892,7 @@ fn store_records(
         rps: 0.0,
         host_shares: None,
     };
-    for e in entries {
+    for e in snap.entries {
         let mut r = base(&e.trace, &e.scheme);
         r.requests = e.requests;
         r.samples = e.samples.clone();
@@ -893,14 +900,14 @@ fn store_records(
         r.host_shares = e.host_shares;
         out.push(r);
     }
-    for e in disk {
+    for e in snap.disk {
         let mut r = base("disk", &e.mix);
         r.requests = e.jobs;
         r.samples = e.samples.clone();
         r.rps = e.jobs_per_sec;
         out.push(r);
     }
-    for e in serve {
+    for e in snap.serve {
         let mut r = base("serve", &format!("shards-{}", e.shards));
         r.requests = e.requests;
         r.samples = e.samples.clone();
@@ -1088,7 +1095,10 @@ fn trend_gate(dir: &str, window: usize, tolerance_pct: f64, report_only: bool) {
         } else {
             "ok".into()
         };
-        println!("  {series:<28} {:>5} {:>+9.1}  {verdict}", v.runs, v.drift_pct);
+        println!(
+            "  {series:<28} {:>5} {:>+9.1}  {verdict}",
+            v.runs, v.drift_pct
+        );
     }
     if regressions > 0 {
         eprintln!(
@@ -1255,9 +1265,17 @@ fn main() {
 
     // Write the new snapshot first so a regression still leaves a record.
     let path = format!("{}/{file_name}", args.dir);
-    let json = render_json(
-        &date, &commit, &entries, &disk, &serve, rss_kib, args.scale, args.reps,
-    );
+    let snap = Snapshot {
+        date: &date,
+        commit: &commit,
+        entries: &entries,
+        disk: &disk,
+        serve: &serve,
+        rss_kib,
+        scale: args.scale,
+        reps: args.reps,
+    };
+    let json = render_json(&snap);
     if let Err(e) = std::fs::write(&path, &json) {
         die(&format!("writing {path}: {e}"));
     }
@@ -1267,7 +1285,7 @@ fn main() {
     // what `--trend` regresses over.
     let st = store_at(&args.dir);
     let cfg_hash = store::config_hash(args.scale, args.reps);
-    let records = store_records(&commit, &date, &cfg_hash, &entries, &disk, &serve);
+    let records = store_records(&snap, &cfg_hash);
     for r in &records {
         if let Err(e) = st.append(r) {
             die(&format!("appending to {}: {e}", st.path().display()));

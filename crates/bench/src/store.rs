@@ -387,7 +387,11 @@ pub struct TrendVerdict {
 /// drifted up by more than `tolerance_pct` across the window. Series
 /// with fewer than two runs are reported with zero drift so callers
 /// can show coverage.
-pub fn analyze_trends(records: &[StoreRecord], window: usize, tolerance_pct: f64) -> Vec<TrendVerdict> {
+pub fn analyze_trends(
+    records: &[StoreRecord],
+    window: usize,
+    tolerance_pct: f64,
+) -> Vec<TrendVerdict> {
     let mut keys: Vec<(String, String, String)> = Vec::new();
     for r in records {
         let k = r.series_key();

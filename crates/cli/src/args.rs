@@ -3,6 +3,10 @@
 use pod_core::Scheme;
 use pod_trace::{Trace, TraceProfile};
 
+/// Largest accepted `--scale`: 100× the paper's trace sizes. Beyond it
+/// the generated trace alone outgrows any reasonable host memory.
+pub const MAX_SCALE: f64 = 100.0;
+
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
 pub struct CliArgs {
@@ -118,8 +122,11 @@ impl CliArgs {
                     args.scale = value
                         .parse()
                         .map_err(|_| format!("bad --scale '{value}'"))?;
-                    if args.scale <= 0.0 {
-                        return Err("--scale must be positive".into());
+                    // NaN fails both comparisons; infinity fails the second.
+                    if !(args.scale > 0.0 && args.scale <= MAX_SCALE) {
+                        return Err(format!(
+                            "--scale must be a number in (0, {MAX_SCALE}], got '{value}'"
+                        ));
                     }
                 }
                 "--seed" => {
@@ -338,6 +345,22 @@ mod tests {
         assert!(parse(&["--jobs", "many"]).is_err());
         assert!(parse(&["--epoch", "soon"]).is_err());
         assert!(parse(&["--trace-out"]).is_err());
+    }
+
+    #[test]
+    fn scale_must_be_finite_positive_and_bounded() {
+        for bad in ["nan", "NaN", "inf", "-inf", "1e9", "-1", "0"] {
+            let err = parse(&["--scale", bad]).expect_err(bad);
+            assert!(
+                err.contains("--scale must be a number in (0, 100]"),
+                "{bad}: {err}"
+            );
+        }
+        assert_eq!(
+            parse(&["--scale", "100"]).expect("at the bound").scale,
+            100.0
+        );
+        assert_eq!(parse(&["--scale", "1e-3"]).expect("small").scale, 0.001);
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn run_history(args: &CliArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the two history CSVs. Split from [`run_history`] so tests can
+/// Build the two history CSVs. Split from `run_history` so tests can
 /// assert on exact cells without a filesystem store.
 pub fn export_history(records: &[StoreRecord]) -> Vec<(&'static str, String)> {
     let mut rps = String::from(
@@ -308,7 +308,10 @@ mod tests {
         let csvs = export_history(&records);
         assert_eq!(csvs.len(), 2);
         let rps = &csvs[0].1;
-        assert!(rps.starts_with("commit,date,trace,scheme,config_hash"), "{rps}");
+        assert!(
+            rps.starts_with("commit,date,trace,scheme,config_hash"),
+            "{rps}"
+        );
         assert_eq!(rps.lines().count(), 3, "header + 2 runs");
         assert!(
             rps.contains("aaaaaaa,2026-08-07,mail,POD,aabbccdd11223344,1000,3,1.000000,1.100000,"),

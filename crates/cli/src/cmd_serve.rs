@@ -8,7 +8,8 @@
 
 use crate::args::CliArgs;
 use pod_core::serve::{ServeBuilder, ServeReport};
-use pod_trace::derive_tenants;
+use pod_core::Executor;
+use pod_trace::{derive_tenant, Trace, TraceProfile};
 
 pub fn run(args: &CliArgs) -> Result<(), String> {
     args.apply_jobs();
@@ -22,7 +23,12 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         vec![args.load_trace()?]
     } else {
         let profile = args.resolve_profile()?;
-        derive_tenants(&profile.scaled(args.scale), args.tenants, args.seed)
+        synthesise_fleet(
+            Executor::new(),
+            &profile.scaled(args.scale),
+            args.tenants,
+            args.seed,
+        )
     };
     let total: usize = tenants.iter().map(|t| t.len()).sum();
     eprintln!(
@@ -73,6 +79,20 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         rep.jobs_per_sec()
     );
     Ok(())
+}
+
+/// Synthesise a fleet on `exec`, one tenant per item. Results are
+/// collected in tenant order, so the fleet equals serial
+/// [`pod_trace::derive_tenants`] at any width.
+fn synthesise_fleet(
+    exec: Executor,
+    profile: &TraceProfile,
+    tenants: usize,
+    seed: u64,
+) -> Vec<Trace> {
+    exec.map_owned((0..tenants).collect(), |_, i| {
+        derive_tenant(profile, i, seed)
+    })
 }
 
 /// Render the deterministic serve report. Contains no shard count, no
@@ -197,6 +217,21 @@ pub fn render_report(rep: &ServeReport) -> String {
 mod tests {
     use super::*;
     use pod_core::prelude::*;
+
+    #[test]
+    fn fleet_synthesis_matches_serial_at_any_width() {
+        let profile = pod_trace::TraceProfile::web_vm().scaled(0.003);
+        let serial = pod_trace::derive_tenants(&profile, 5, 11);
+        for width in [1, 2, 8] {
+            let fleet = synthesise_fleet(Executor::with_width(width), &profile, 5, 11);
+            assert_eq!(fleet.len(), serial.len(), "width {width}");
+            for (a, b) in fleet.iter().zip(&serial) {
+                assert_eq!(a.name, b.name, "width {width}");
+                assert_eq!(a.requests, b.requests, "width {width}: {}", a.name);
+                assert_eq!(a.memory_budget_bytes, b.memory_budget_bytes);
+            }
+        }
+    }
 
     #[test]
     fn report_text_is_topology_free_and_deterministic() {

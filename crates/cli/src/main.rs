@@ -95,7 +95,7 @@ fn usage_and_exit(code: i32) -> ! {
          \n\
          options:\n\
          \x20 --profile <web-vm|homes|mail>   workload profile (default mail)\n\
-         \x20 --scale <f64>                   trace scale, 1.0 = paper size (default 0.05)\n\
+         \x20 --scale <f64>                   trace scale in (0, 100], 1.0 = paper size (default 0.05)\n\
          \x20 --seed <u64>                    generator seed (default 42)\n\
          \x20 --trace <path>                  FIU-format trace file instead of a profile\n\
          \x20 --scheme <native|full|idedup|select|pod|post|iodedup>  scheme for `replay`\n\

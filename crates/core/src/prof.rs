@@ -278,11 +278,7 @@ impl PhaseAgg {
 
     /// Mean scope duration in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.total_ns / self.count
-        }
+        self.total_ns.checked_div(self.count).unwrap_or(0)
     }
 
     /// Nearest-rank percentile, reported as the upper bound of the
@@ -672,6 +668,9 @@ mod tests {
         // After a lap the timer restarts: the next reading must not
         // include the sleep.
         let tail = t.elapsed_ns().expect("timer enabled");
-        assert!(tail < 3_000_000, "post-lap reading {tail} ns includes the sleep");
+        assert!(
+            tail < 3_000_000,
+            "post-lap reading {tail} ns includes the sleep"
+        );
     }
 }

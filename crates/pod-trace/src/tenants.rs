@@ -7,9 +7,10 @@
 //! engine sees the consolidated arrival order while every request still
 //! knows which tenant issued it. This module provides:
 //!
-//! * [`derive_tenants`] — K seeded per-tenant traces from one profile
-//!   (tenant 0 reproduces the single-tenant trace bit for bit, so a
-//!   1-tenant serve run is comparable to a plain replay);
+//! * [`derive_tenants`] — K seeded per-tenant traces from one profile,
+//!   each one [`derive_tenant`] (tenant 0 reproduces the single-tenant
+//!   trace bit for bit, so a 1-tenant serve run is comparable to a
+//!   plain replay);
 //! * [`MergedStream`] — a deterministic k-way merge over tenant
 //!   request streams, yielding `(tenant, index-within-tenant, request)`
 //!   in global arrival order with a fixed `(arrival, tenant)`
@@ -24,22 +25,29 @@ use crate::synth::Trace;
 use pod_types::IoRequest;
 
 /// Derive `tenants` per-tenant traces from one (already scaled)
-/// profile. Tenant `i` is the profile generated at `seed + i`: same
-/// workload *shape*, independent content and arrival sample — the
+/// profile: [`derive_tenant`] for `i` in `0..tenants`, in order.
+pub fn derive_tenants(profile: &TraceProfile, tenants: usize, seed: u64) -> Vec<Trace> {
+    (0..tenants)
+        .map(|i| derive_tenant(profile, i, seed))
+        .collect()
+}
+
+/// Tenant `i` of a fleet derived from one (already scaled) profile: the
+/// profile generated at `seed + i`. Every tenant has the same workload
+/// *shape* with an independent content and arrival sample — the
 /// consolidated-VM picture of the paper's §I. Tenant 0 is exactly
 /// `profile.generate(seed)`, so single-tenant serving matches plain
 /// replay byte for byte; tenants `i > 0` get `#i` name suffixes so
 /// recorded sections stay distinguishable.
-pub fn derive_tenants(profile: &TraceProfile, tenants: usize, seed: u64) -> Vec<Trace> {
-    (0..tenants)
-        .map(|i| {
-            let mut t = profile.generate(seed + i as u64);
-            if i > 0 {
-                t.name = format!("{}#{i}", t.name);
-            }
-            t
-        })
-        .collect()
+///
+/// Each tenant depends only on `(profile, i, seed)`, so a fleet can be
+/// synthesised in parallel and collected in tenant order.
+pub fn derive_tenant(profile: &TraceProfile, i: usize, seed: u64) -> Trace {
+    let mut t = profile.generate(seed + i as u64);
+    if i > 0 {
+        t.name = format!("{}#{i}", t.name);
+    }
+    t
 }
 
 /// Consolidated-address-space region base of each tenant: region `i`
