@@ -14,7 +14,7 @@
 //!
 //! * [`config`] — [`SystemConfig`]: the paper's testbed configuration
 //!   (4-disk RAID-5, 64 KiB stripe, 32 µs/4 KiB hashing, per-trace DRAM
-//!   budgets) plus every knob the ablation benches sweep.
+//!   budgets) plus the knobs the experiments sweep.
 //! * [`scheme`] — [`Scheme`]: Native / Full-Dedupe / iDedup /
 //!   Select-Dedupe / POD (= Select-Dedupe + adaptive iCache).
 //! * [`stack`] — the layered [`StorageStack`]: cache / dedup / disk
@@ -59,8 +59,8 @@ pub mod stack;
 pub mod testing;
 
 pub use config::{
-    ConfigBuilder, DiskModel, FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy,
-    SystemConfig, TenantPolicy,
+    ConfigBuilder, FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy, SystemConfig,
+    TenantPolicy,
 };
 pub use metrics::{LatencyHistogram, Metrics, Timeline};
 pub use obs::{

@@ -1,7 +1,7 @@
 //! Minimal JSON reader/writer for the trace format.
 //!
-//! The workspace builds offline (the `serde` shim is a no-op marker),
-//! so every serialized artifact in this repo is hand-rolled JSON. This
+//! The workspace builds offline with no serialization framework, so
+//! every serialized artifact in this repo is hand-rolled JSON. This
 //! module is the one shared implementation: the trace exporter writes
 //! through [`push_str_escaped`], and `pod stats` / `perfgate` read
 //! snapshots back through [`parse`]. It supports exactly the JSON this
@@ -93,11 +93,17 @@ pub fn push_str_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The repo's own
+/// artifacts nest about 3 deep; the cap turns a hostile document into an
+/// error instead of a stack overflow in the recursive descent.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one complete JSON document (trailing whitespace allowed).
 pub fn parse(s: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -110,6 +116,8 @@ pub fn parse(s: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -135,8 +143,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -144,6 +152,20 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// Parse one array or object, one level deeper than the caller.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -285,6 +307,23 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"\\u0041\"").is_err(), "unicode escapes unsupported");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(200_000)).expect_err("too deep");
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let err = parse(&r#"{"a":"#.repeat(200_000)).expect_err("too deep");
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {}", 5 * MAX_DEPTH)
+        );
+        // Nesting up to the cap still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
     }
 
     #[test]

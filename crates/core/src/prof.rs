@@ -5,7 +5,7 @@
 //! hash latency, and the layer shares in `BENCH_*.json` are derived
 //! from them. This module measures the other axis — **real host
 //! nanoseconds** spent inside each phase of the replay loop — because
-//! the two disagree in practice: the calibrated disk backend can claim
+//! the two disagree in practice: the simulated disk can claim
 //! 97% of simulated time while the host spends most of its wall clock
 //! in cache/dedup/metrics code (the PR 6 lesson: a 3× disk-engine
 //! speedup moved end-to-end replay by only ~1.1×).

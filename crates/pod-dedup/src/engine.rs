@@ -84,8 +84,6 @@ pub struct DedupConfig {
     /// request cluster in containers, so most consults hit an already
     /// resident page). 1 = every consult faults.
     pub index_page_fault_rate: u64,
-    /// Replacement policy of the in-memory index table.
-    pub index_policy: crate::index::IndexPolicy,
     /// Expected number of distinct physical blocks the replay will
     /// populate (from trace statistics). Used to pre-size the store's
     /// block-state tables and the on-disk index so steady-state inserts
@@ -102,7 +100,6 @@ impl Default for DedupConfig {
             logical_blocks: 1 << 20,
             overflow_blocks: 1 << 19,
             index_page_fault_rate: 8,
-            index_policy: crate::index::IndexPolicy::Lru,
             expected_unique_blocks: 0,
         }
     }
@@ -383,7 +380,7 @@ impl DedupEngine {
     pub fn new(policy: DedupPolicy, cfg: DedupConfig) -> Self {
         let expected = cfg.expected_unique_blocks as usize;
         let store = ChunkStore::with_capacity(cfg.logical_blocks, cfg.overflow_blocks, expected);
-        let index = IndexTable::with_byte_budget_policy(cfg.index_budget_bytes, cfg.index_policy);
+        let index = IndexTable::with_byte_budget(cfg.index_budget_bytes);
         let disk_index = if expected > 0
             && matches!(policy, DedupPolicy::FullDedupe | DedupPolicy::PostProcess)
         {
@@ -664,8 +661,7 @@ impl DedupEngine {
         // or "recovery" would be fabricating state.
         self.store.verify_journal_recovery()?;
 
-        let mut fresh =
-            IndexTable::with_byte_budget_policy(self.index.capacity_bytes(), self.index.policy());
+        let mut fresh = IndexTable::with_byte_budget(self.index.capacity_bytes());
         let mut rebuilt = 0u64;
         let mut dropped = 0u64;
         for (pba, fp) in self.store.contents() {
@@ -1196,13 +1192,11 @@ mod tests {
         e.process_write(&wreq(2, 20, &[7, 8, 9])).expect("unique");
         let live_blocks = e.store().used_blocks();
         let cap_bytes = e.index().capacity_bytes();
-        let policy = e.index().policy();
 
         let outcome = e.recover_after_crash().expect("recovery");
         assert_eq!(outcome.index_entries_rebuilt, live_blocks);
         assert_eq!(outcome.index_entries_evicted, 0);
         assert_eq!(e.index().capacity_bytes(), cap_bytes, "budget preserved");
-        assert_eq!(e.index().policy(), policy);
         assert_eq!(e.index().len() as u64, live_blocks);
         // Every live block's content is findable again, with Count
         // reset to 0 (paper: initialized on insert).

@@ -11,25 +11,12 @@
 //! PBA + count + LRU links), and [`IndexTable::resize_bytes`] is the hook
 //! the Swap Module drives every epoch.
 
-use pod_cache::{LfuCache, LruCache};
+use pod_cache::LruCache;
 use pod_types::{log2_bucket8, Fingerprint, Pba};
-use serde::{Deserialize, Serialize};
 
 /// Modeled in-memory footprint of one hash-index entry: 32 B fingerprint
 /// + 8 B PBA + 4 B count + ~20 B of map/LRU overhead.
 pub const INDEX_ENTRY_BYTES: u64 = 64;
-
-/// Replacement policy for the hot-entry table. The paper uses LRU
-/// (§III-B); LFU is the ablation alternative suggested by the per-entry
-/// `Count` field (see the `index_policy` bench).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum IndexPolicy {
-    /// Least-recently-used (the paper's design).
-    #[default]
-    Lru,
-    /// Least-frequently-used (evict the coldest `Count`).
-    Lfu,
-}
 
 /// One hot index entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,17 +27,10 @@ pub struct IndexEntry {
     pub count: u32,
 }
 
-/// Policy-backed storage for the hot-entry table.
-#[derive(Debug)]
-enum Backing {
-    Lru(LruCache<Fingerprint, IndexEntry>),
-    Lfu(LfuCache<Fingerprint, IndexEntry>),
-}
-
-/// Table of hot fingerprints (LRU by default, LFU for the ablation).
+/// LRU table of hot fingerprints.
 #[derive(Debug)]
 pub struct IndexTable {
-    backing: Backing,
+    cache: LruCache<Fingerprint, IndexEntry>,
     hits: u64,
     misses: u64,
     inserts: u64,
@@ -58,7 +38,7 @@ pub struct IndexTable {
 
 /// Entries sampled for the `Count`-heat histogram in one
 /// [`IndexTable::heat`] call. Bounds snapshot cost on large tables; the
-/// LRU sample is the MRU head, i.e. the entries dedup decisions are
+/// sample is the MRU head, i.e. the entries dedup decisions are
 /// actually consulting.
 pub const HEAT_SAMPLE_ENTRIES: usize = 4096;
 
@@ -85,20 +65,10 @@ pub struct IndexState {
 }
 
 impl IndexTable {
-    /// Index table with space for `capacity_entries` hot entries (LRU,
-    /// the paper's policy).
+    /// Index table with space for `capacity_entries` hot entries.
     pub fn new(capacity_entries: usize) -> Self {
-        Self::with_policy(capacity_entries, IndexPolicy::Lru)
-    }
-
-    /// Index table with an explicit replacement policy.
-    pub fn with_policy(capacity_entries: usize, policy: IndexPolicy) -> Self {
-        let backing = match policy {
-            IndexPolicy::Lru => Backing::Lru(LruCache::new(capacity_entries)),
-            IndexPolicy::Lfu => Backing::Lfu(LfuCache::new(capacity_entries)),
-        };
         Self {
-            backing,
+            cache: LruCache::new(capacity_entries),
             hits: 0,
             misses: 0,
             inserts: 0,
@@ -110,45 +80,13 @@ impl IndexTable {
         Self::new((bytes / INDEX_ENTRY_BYTES) as usize)
     }
 
-    /// Index table sized by a byte budget with an explicit policy.
-    pub fn with_byte_budget_policy(bytes: u64, policy: IndexPolicy) -> Self {
-        Self::with_policy((bytes / INDEX_ENTRY_BYTES) as usize, policy)
-    }
-
-    /// The active replacement policy.
-    pub fn policy(&self) -> IndexPolicy {
-        match self.backing {
-            Backing::Lru(_) => IndexPolicy::Lru,
-            Backing::Lfu(_) => IndexPolicy::Lfu,
-        }
-    }
-
-    /// Query a fingerprint. A hit bumps the entry's `Count` (and, for
-    /// LFU, its replacement frequency) and returns the candidate PBA.
+    /// Query a fingerprint. A hit bumps the entry's `Count` and returns
+    /// the candidate PBA.
     pub fn query(&mut self, fp: &Fingerprint) -> Option<Pba> {
-        let found = match &mut self.backing {
-            Backing::Lru(c) => c.get_mut(fp).map(|e| {
-                e.count += 1;
-                e.pba
-            }),
-            Backing::Lfu(c) => {
-                // LFU bumps frequency on get; update count via a second
-                // borrow-free step.
-                let hit = c.get(fp).map(|e| e.pba);
-                if hit.is_some() {
-                    if let Some(e) = c.peek(fp).copied() {
-                        c.insert(
-                            *fp,
-                            IndexEntry {
-                                pba: e.pba,
-                                count: e.count + 1,
-                            },
-                        );
-                    }
-                }
-                hit
-            }
-        };
+        let found = self.cache.get_mut(fp).map(|e| {
+            e.count += 1;
+            e.pba
+        });
         match found {
             Some(pba) => {
                 self.hits += 1;
@@ -163,10 +101,7 @@ impl IndexTable {
 
     /// Look up without statistics or promotion (test/diagnostic use).
     pub fn peek(&self, fp: &Fingerprint) -> Option<IndexEntry> {
-        match &self.backing {
-            Backing::Lru(c) => c.peek(fp).copied(),
-            Backing::Lfu(c) => c.peek(fp).copied(),
-        }
+        self.cache.peek(fp).copied()
     }
 
     /// Insert (or refresh) the location of a fingerprint with `Count`
@@ -175,10 +110,7 @@ impl IndexTable {
     pub fn insert(&mut self, fp: Fingerprint, pba: Pba) -> Option<Fingerprint> {
         self.inserts += 1;
         let entry = IndexEntry { pba, count: 0 };
-        match &mut self.backing {
-            Backing::Lru(c) => c.insert(fp, entry).map(|(victim, _)| victim),
-            Backing::Lfu(c) => c.insert(fp, entry).map(|(victim, _)| victim),
-        }
+        self.cache.insert(fp, entry).map(|(victim, _)| victim)
     }
 
     /// Update an existing entry's location preserving its `Count`, or
@@ -186,25 +118,9 @@ impl IndexTable {
     /// (category 2) creates a newer copy of hot content. Returns the
     /// evicted victim on insert.
     pub fn upsert(&mut self, fp: Fingerprint, pba: Pba) -> Option<Fingerprint> {
-        match &mut self.backing {
-            Backing::Lru(c) => {
-                if let Some(e) = c.get_mut(&fp) {
-                    e.pba = pba;
-                    return None;
-                }
-            }
-            Backing::Lfu(c) => {
-                if let Some(e) = c.peek(&fp).copied() {
-                    c.insert(
-                        fp,
-                        IndexEntry {
-                            pba,
-                            count: e.count,
-                        },
-                    );
-                    return None;
-                }
-            }
+        if let Some(e) = self.cache.get_mut(&fp) {
+            e.pba = pba;
+            return None;
         }
         self.insert(fp, pba)
     }
@@ -212,18 +128,12 @@ impl IndexTable {
     /// Remove a (stale) entry — e.g. the physical block was overwritten
     /// and the fingerprint no longer matches its content.
     pub fn remove(&mut self, fp: &Fingerprint) -> Option<IndexEntry> {
-        match &mut self.backing {
-            Backing::Lru(c) => c.remove(fp),
-            Backing::Lfu(c) => c.remove(fp),
-        }
+        self.cache.remove(fp)
     }
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        match &self.backing {
-            Backing::Lru(c) => c.len(),
-            Backing::Lfu(c) => c.len(),
-        }
+        self.cache.len()
     }
 
     /// `true` when no entries are cached.
@@ -233,10 +143,7 @@ impl IndexTable {
 
     /// Capacity in entries.
     pub fn capacity(&self) -> usize {
-        match &self.backing {
-            Backing::Lru(c) => c.capacity(),
-            Backing::Lfu(c) => c.capacity(),
-        }
+        self.cache.capacity()
     }
 
     /// Current byte footprint at capacity.
@@ -244,23 +151,16 @@ impl IndexTable {
         self.capacity() as u64 * INDEX_ENTRY_BYTES
     }
 
-    /// Resize to a new byte budget; spilled entries (coldest-first per
-    /// the policy) are returned so the Swap Module can stage them to the
-    /// reserved disk region and register them with the ghost index.
+    /// Resize to a new byte budget; spilled entries (LRU first) are
+    /// returned so the Swap Module can stage them to the reserved disk
+    /// region and register them with the ghost index.
     pub fn resize_bytes(&mut self, bytes: u64) -> Vec<Fingerprint> {
         let entries = (bytes / INDEX_ENTRY_BYTES) as usize;
-        match &mut self.backing {
-            Backing::Lru(c) => c
-                .set_capacity(entries)
-                .into_iter()
-                .map(|(fp, _)| fp)
-                .collect(),
-            Backing::Lfu(c) => c
-                .set_capacity(entries)
-                .into_iter()
-                .map(|(fp, _)| fp)
-                .collect(),
-        }
+        self.cache
+            .set_capacity(entries)
+            .into_iter()
+            .map(|(fp, _)| fp)
+            .collect()
     }
 
     /// `(hits, misses, inserts)` counters.
@@ -271,28 +171,16 @@ impl IndexTable {
     /// Cumulative evictions from the backing cache (insert pressure
     /// plus Swap-Module shrinks).
     pub fn evictions(&self) -> u64 {
-        match &self.backing {
-            Backing::Lru(c) => c.evictions(),
-            Backing::Lfu(c) => c.evictions(),
-        }
+        self.cache.evictions()
     }
 
     /// Log2-bucketed `Count`-heat histogram over at most
-    /// [`HEAT_SAMPLE_ENTRIES`] entries (the MRU head under LRU, an
-    /// arbitrary-but-deterministic sample under LFU). Allocation-free.
+    /// [`HEAT_SAMPLE_ENTRIES`] entries from the MRU head.
+    /// Allocation-free.
     pub fn heat(&self) -> [u64; 8] {
         let mut heat = [0u64; 8];
-        match &self.backing {
-            Backing::Lru(c) => {
-                for (_, e) in c.iter().take(HEAT_SAMPLE_ENTRIES) {
-                    heat[log2_bucket8(e.count as u64)] += 1;
-                }
-            }
-            Backing::Lfu(c) => {
-                for (_, e, _) in c.iter().take(HEAT_SAMPLE_ENTRIES) {
-                    heat[log2_bucket8(e.count as u64)] += 1;
-                }
-            }
+        for (_, e) in self.cache.iter().take(HEAT_SAMPLE_ENTRIES) {
+            heat[log2_bucket8(e.count as u64)] += 1;
         }
         heat
     }
@@ -407,52 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn lfu_policy_evicts_coldest() {
-        let mut t = IndexTable::with_policy(2, IndexPolicy::Lfu);
-        assert_eq!(t.policy(), IndexPolicy::Lfu);
-        t.insert(fp(1), Pba::new(1));
-        t.insert(fp(2), Pba::new(2));
-        // Heat up fp(2); fp(1) becomes the LFU victim even though it is
-        // not the LRU one.
-        t.query(&fp(2));
-        t.query(&fp(2));
-        t.query(&fp(1));
-        let victim = t.insert(fp(3), Pba::new(3));
-        assert_eq!(victim, Some(fp(1)));
-        assert!(t.peek(&fp(2)).is_some());
-    }
-
-    #[test]
-    fn lfu_query_tracks_count_and_location() {
-        let mut t = IndexTable::with_policy(4, IndexPolicy::Lfu);
-        t.insert(fp(1), Pba::new(10));
-        assert_eq!(t.query(&fp(1)), Some(Pba::new(10)));
-        assert!(t.peek(&fp(1)).expect("present").count >= 1);
-        t.upsert(fp(1), Pba::new(20));
-        assert_eq!(t.peek(&fp(1)).expect("present").pba, Pba::new(20));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn lfu_resize_spills() {
-        let mut t = IndexTable::with_policy(4, IndexPolicy::Lfu);
-        for i in 0..4 {
-            t.insert(fp(i), Pba::new(i));
-        }
-        t.query(&fp(0));
-        let spilled = t.resize_bytes(2 * INDEX_ENTRY_BYTES);
-        assert_eq!(spilled.len(), 2);
-        assert!(!spilled.contains(&fp(0)), "hot entry survives the shrink");
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn default_policy_is_lru() {
-        assert_eq!(IndexTable::new(4).policy(), IndexPolicy::Lru);
-        assert_eq!(IndexPolicy::default(), IndexPolicy::Lru);
-    }
-
-    #[test]
     fn heat_histogram_buckets_counts() {
         use pod_types::Introspect;
         let mut t = IndexTable::new(8);
@@ -472,8 +314,8 @@ mod tests {
         assert_eq!(st.heat[7], 1);
         assert_eq!(st.heat.iter().sum::<u64>(), 3);
         assert_eq!(st.hits, 153);
-        // Eviction churn reaches the gauge under both policies.
-        let mut small = IndexTable::with_policy(1, IndexPolicy::Lfu);
+        // Eviction churn reaches the gauge.
+        let mut small = IndexTable::new(1);
         small.insert(fp(1), Pba::new(1));
         small.insert(fp(2), Pba::new(2));
         assert_eq!(small.introspect().evictions, 1);

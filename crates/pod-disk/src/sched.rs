@@ -5,12 +5,10 @@
 //! disk queue* ("the significant number of reduced write requests ...
 //! greatly shortens the length of the disk I/O queue", §IV-B). We provide
 //! FIFO (MD's effective order under trace replay), SSTF, and a LOOK-style
-//! elevator for the `scheduler_ablation` bench.
-
-use serde::{Deserialize, Serialize};
+//! elevator.
 
 /// Queue discipline used by each simulated disk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// First-in first-out.
     #[default]

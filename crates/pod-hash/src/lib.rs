@@ -7,20 +7,14 @@
 //!   fingerprint function of the real data path.
 //! * [`fnv`] — FNV-1a, a cheap non-cryptographic hash used for internal
 //!   table sharding.
-//! * [`engine`] — the [`HashEngine`] abstraction the
-//!   dedup layer uses: it produces fingerprints *and* reports the
-//!   simulated computation latency that the paper charges on the write
-//!   path (32 µs per 4 KiB chunk, §IV-A). A crossbeam-based parallel
-//!   engine fans large multi-chunk requests across worker threads, the
-//!   way a multicore storage controller would (§IV-D1).
+//!
+//! The simulated cost of hashing lives in `pod_core::LatencyModel`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod fnv;
 pub mod sha256;
 
-pub use engine::{HashEngine, ParallelHashEngine, Sha256Engine, SimulatedHashEngine};
 pub use fnv::{fnv1a_64, FnvHasher};
 pub use sha256::Sha256;

@@ -15,75 +15,8 @@
 //! traffic in blocks so the replay driver can charge it as disk I/O).
 
 use crate::monitor::{AccessMonitor, EpochSnapshot};
-use pod_cache::{ArcCache, GhostCache, GhostState, LruCache};
+use pod_cache::{GhostCache, GhostState, LruCache};
 use pod_types::{Fingerprint, Introspect, Lba, BLOCK_BYTES};
-use serde::{Deserialize, Serialize};
-
-/// Replacement policy of the read cache. The paper's design is LRU; ARC
-/// is the scan-resistant alternative its own citation (Megiddo & Modha)
-/// suggests, exercised by the `read_policy` ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ReadCachePolicy {
-    /// Least-recently-used (the paper's design).
-    #[default]
-    Lru,
-    /// Adaptive Replacement Cache (scan-resistant).
-    Arc,
-}
-
-/// Policy-backed read-cache storage. The ARC variant is boxed: its
-/// four internal lists make it far larger than the LRU variant, and
-/// one cache lives per iCache, so the indirection costs nothing hot.
-#[derive(Debug)]
-enum ReadBacking {
-    Lru(LruCache<u64, ()>),
-    Arc(Box<ArcCache<u64, ()>>),
-}
-
-impl ReadBacking {
-    fn new(policy: ReadCachePolicy, entries: usize) -> Self {
-        match policy {
-            ReadCachePolicy::Lru => ReadBacking::Lru(LruCache::new(entries)),
-            ReadCachePolicy::Arc => ReadBacking::Arc(Box::new(ArcCache::new(entries))),
-        }
-    }
-
-    fn get(&mut self, key: u64) -> bool {
-        match self {
-            ReadBacking::Lru(c) => c.get(&key).is_some(),
-            ReadBacking::Arc(c) => c.get(&key).is_some(),
-        }
-    }
-
-    /// Insert; returns evicted keys for the external ghost.
-    fn insert(&mut self, key: u64) -> Vec<u64> {
-        match self {
-            ReadBacking::Lru(c) => c.insert(key, ()).map(|(k, _)| k).into_iter().collect(),
-            ReadBacking::Arc(c) => {
-                c.insert(key, ());
-                c.take_evicted()
-            }
-        }
-    }
-
-    fn set_capacity(&mut self, entries: usize) -> Vec<u64> {
-        match self {
-            ReadBacking::Lru(c) => c
-                .set_capacity(entries)
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect(),
-            ReadBacking::Arc(c) => c.set_capacity(entries),
-        }
-    }
-
-    fn occupancy(&self) -> (usize, usize) {
-        match self {
-            ReadBacking::Lru(c) => (c.len(), c.capacity()),
-            ReadBacking::Arc(c) => (c.len(), c.capacity()),
-        }
-    }
-}
 
 /// Flat gauge snapshot of an [`ICache`] (see [`pod_types::Introspect`]):
 /// the partition split, both ghost caches, and the cost-benefit inputs
@@ -124,7 +57,7 @@ pub struct ICacheState {
 }
 
 /// iCache configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ICacheConfig {
     /// Total DRAM budget split between index cache and read cache.
     pub total_bytes: u64,
@@ -148,8 +81,6 @@ pub struct ICacheConfig {
     /// `false` freezes the partition (the paper's "Static" strategy,
     /// used by Fig. 3 and by the Select-Dedupe-only configuration).
     pub adaptive: bool,
-    /// Read-cache replacement policy.
-    pub read_policy: ReadCachePolicy,
 }
 
 impl ICacheConfig {
@@ -165,7 +96,6 @@ impl ICacheConfig {
             read_miss_penalty_us: 8_000,
             write_miss_penalty_us: 8_000,
             adaptive: true,
-            read_policy: ReadCachePolicy::Lru,
         }
     }
 
@@ -212,7 +142,7 @@ pub struct ICache {
     cfg: ICacheConfig,
     index_bytes: u64,
     read_bytes: u64,
-    read_cache: ReadBacking,
+    read_cache: LruCache<u64, ()>,
     ghost_read: GhostCache<u64>,
     ghost_index: GhostCache<Fingerprint>,
     monitor: AccessMonitor,
@@ -236,7 +166,7 @@ impl ICache {
         Self {
             index_bytes,
             read_bytes,
-            read_cache: ReadBacking::new(cfg.read_policy, read_entries),
+            read_cache: LruCache::new(read_entries),
             ghost_read: GhostCache::new(ghost_read_entries),
             ghost_index: GhostCache::new(ghost_index_entries),
             monitor: AccessMonitor::new(),
@@ -300,7 +230,7 @@ impl ICache {
     /// content-addressed caches (I/O-Dedup) key blocks by fingerprint
     /// prefix so duplicate content shares one slot.
     pub fn read_lookup_key(&mut self, key: u64) -> bool {
-        if self.read_cache.get(key) {
+        if self.read_cache.get(&key).is_some() {
             self.monitor.read_hits += 1;
             true
         } else {
@@ -314,7 +244,7 @@ impl ICache {
 
     /// Like [`ICache::read_fill`] with an arbitrary cache key.
     pub fn read_fill_key(&mut self, key: u64) {
-        for victim in self.read_cache.insert(key) {
+        if let Some((victim, ())) = self.read_cache.insert(key, ()) {
             self.read_evictions += 1;
             self.ghost_read.record_eviction(victim);
         }
@@ -393,7 +323,7 @@ impl ICache {
         // Resize the read cache now; evicted blocks go to the ghost and
         // their data to the swap region.
         let read_entries = (self.read_bytes / BLOCK_BYTES) as usize;
-        for victim in self.read_cache.set_capacity(read_entries) {
+        for (victim, ()) in self.read_cache.set_capacity(read_entries) {
             self.read_evictions += 1;
             self.ghost_read.record_eviction(victim);
         }
@@ -411,7 +341,6 @@ impl Introspect for ICache {
     type State = ICacheState;
 
     fn introspect(&self) -> ICacheState {
-        let (read_len, read_capacity) = self.read_cache.occupancy();
         let (egr, egi) = match &self.last_epoch {
             Some(e) => (e.ghost_read_hits, e.ghost_index_hits),
             None => (0, 0),
@@ -422,8 +351,8 @@ impl Introspect for ICache {
             index_per_mille: self.index_bytes * 1000 / (self.index_bytes + self.read_bytes).max(1),
             epochs: self.epochs,
             repartitions: self.repartitions,
-            read_len: read_len as u64,
-            read_capacity: read_capacity as u64,
+            read_len: self.read_cache.len() as u64,
+            read_capacity: self.read_cache.capacity() as u64,
             read_evictions: self.read_evictions,
             ghost_read: self.ghost_read.introspect(),
             ghost_index: self.ghost_index.introspect(),
@@ -590,61 +519,6 @@ mod tests {
         }
         assert_eq!(c.epochs(), 1);
         assert!(c.last_epoch().is_some());
-    }
-
-    #[test]
-    fn arc_read_policy_is_scan_resistant() {
-        use pod_cache::CacheStats;
-        let _ = CacheStats::new(); // silence unused-import lints in some cfgs
-        let mk = |policy| {
-            let mut c = ICache::new(ICacheConfig {
-                read_policy: policy,
-                ..ICacheConfig::fixed(64 * BLOCK_BYTES, 0.5)
-            });
-            // Hot set of 8 blocks, touched repeatedly.
-            for i in 0..8u64 {
-                c.read_fill(Lba::new(i));
-            }
-            for _ in 0..4 {
-                for i in 0..8u64 {
-                    if !c.read_lookup(Lba::new(i)) {
-                        c.read_fill(Lba::new(i));
-                    }
-                }
-            }
-            // One-pass cold scan of 200 blocks.
-            for i in 1_000..1_200u64 {
-                if !c.read_lookup(Lba::new(i)) {
-                    c.read_fill(Lba::new(i));
-                }
-            }
-            // Survivors of the hot set.
-            (0..8u64).filter(|&i| c.read_lookup(Lba::new(i))).count()
-        };
-        let lru_survivors = mk(ReadCachePolicy::Lru);
-        let arc_survivors = mk(ReadCachePolicy::Arc);
-        assert!(
-            arc_survivors >= lru_survivors,
-            "ARC ({arc_survivors}) must resist the scan at least as well as LRU ({lru_survivors})"
-        );
-        assert!(arc_survivors >= 4, "ARC keeps most of the hot set");
-    }
-
-    #[test]
-    fn arc_policy_supports_repartition() {
-        let mut c = ICache::new(ICacheConfig {
-            epoch_requests: 10,
-            read_policy: ReadCachePolicy::Arc,
-            ..ICacheConfig::adaptive(8 * 1024 * 1024)
-        });
-        for i in 0..10u64 {
-            c.on_index_victims(&[Fingerprint::from_content_id(i)]);
-            c.on_index_misses(&[Fingerprint::from_content_id(i)]);
-            if let Some(rp) = c.note_request(true) {
-                assert!(rp.index_grew);
-            }
-        }
-        assert!(c.repartitions() > 0);
     }
 
     #[test]

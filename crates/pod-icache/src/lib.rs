@@ -24,5 +24,5 @@
 pub mod icache;
 pub mod monitor;
 
-pub use icache::{ICache, ICacheConfig, ICacheState, ReadCachePolicy, Repartition};
+pub use icache::{ICache, ICacheConfig, ICacheState, Repartition};
 pub use monitor::{AccessMonitor, EpochSnapshot};

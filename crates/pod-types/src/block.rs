@@ -7,7 +7,6 @@
 //! `Lba -> Pba` relation described in §III-B of the paper.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Size of one deduplication chunk / logical block, in bytes.
 pub const BLOCK_BYTES: u64 = 4096;
@@ -18,10 +17,7 @@ pub const BLOCK_SHIFT: u32 = 12;
 macro_rules! addr_newtype {
     ($(#[$meta:meta])* $name:ident, $tag:literal) => {
         $(#[$meta])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u64);
 
         impl $name {

@@ -8,13 +8,12 @@
 //! production dedup system) we treat hash collisions as impossible.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Number of bytes in a fingerprint (SHA-256 output size).
 pub const FINGERPRINT_BYTES: usize = 32;
 
 /// A 256-bit content fingerprint.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fingerprint(pub [u8; FINGERPRINT_BYTES]);
 
 impl Fingerprint {

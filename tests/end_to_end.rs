@@ -6,6 +6,8 @@ use pod_core::experiments::{self, run_schemes};
 
 const SCALE: f64 = 0.01;
 const SEED: u64 = 42;
+/// Scale of the figure-shape checks below (Figs. 2, 3, 8/10/11).
+const SHAPE_SCALE: f64 = 0.02;
 
 fn traces() -> Vec<Trace> {
     experiments::paper_traces(SCALE, SEED)
@@ -194,6 +196,76 @@ fn table1_baselines_behave_as_classified() {
         "content-addressed cache improves reads: {} vs {}",
         iodedup.reads.mean_us(),
         native.reads.mean_us()
+    );
+}
+
+#[test]
+fn fig2_io_redundancy_at_least_capacity_redundancy() {
+    // Fig. 2: counting redundant *writes* finds at least as much
+    // redundancy as counting redundant *stored bytes*, on every trace.
+    for trace in experiments::paper_traces(SHAPE_SCALE, SEED) {
+        let b = pod::trace::stats::redundancy_breakdown(&trace);
+        assert!(
+            b.io_redundancy_pct() >= b.capacity_redundancy_pct(),
+            "{}: I/O redundancy {:.1}% below capacity redundancy {:.1}%",
+            trace.name,
+            b.io_redundancy_pct(),
+            b.capacity_redundancy_pct()
+        );
+    }
+}
+
+#[test]
+fn fig3_index_cache_helps_writes_read_cache_helps_reads() {
+    // Fig. 3: "a larger index cache is beneficial to the write
+    // performance and a larger read cache is beneficial to the read
+    // performance" (Full-Dedupe, fixed split, mail).
+    let mail = TraceProfile::mail().scaled(SHAPE_SCALE).generate(SEED);
+    let run = |index_fraction: f64| {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.index_fraction = index_fraction;
+        experiments::run_scheme(Scheme::FullDedupe, &mail, &cfg).expect("replay")
+    };
+    let (small_index, big_index) = (run(0.2), run(0.8));
+    assert!(
+        big_index.writes.mean_us() <= small_index.writes.mean_us(),
+        "writes: index 0.8 {:.0}us vs 0.2 {:.0}us",
+        big_index.writes.mean_us(),
+        small_index.writes.mean_us()
+    );
+    assert!(
+        small_index.reads.mean_us() <= big_index.reads.mean_us(),
+        "reads: index 0.2 {:.0}us vs 0.8 {:.0}us",
+        small_index.reads.mean_us(),
+        big_index.reads.mean_us()
+    );
+}
+
+#[test]
+fn fig8_10_11_select_dedupe_beats_native_on_mail() {
+    // Figs. 8/10/11 on mail, the paper's strongest case: faster overall,
+    // less capacity, and more than 30% of writes removed.
+    let cfg = SystemConfig::paper_default();
+    let mail = TraceProfile::mail().scaled(SHAPE_SCALE).generate(SEED);
+    let reports =
+        run_schemes(&[Scheme::Native, Scheme::SelectDedupe], &mail, &cfg).expect("replay");
+    let (native, select) = (&reports[0], &reports[1]);
+    assert!(
+        select.overall.mean_us() < native.overall.mean_us(),
+        "Fig. 8: Select {:.0}us vs Native {:.0}us",
+        select.overall.mean_us(),
+        native.overall.mean_us()
+    );
+    assert!(
+        select.capacity_used_blocks < native.capacity_used_blocks,
+        "Fig. 10: Select {} vs Native {} blocks",
+        select.capacity_used_blocks,
+        native.capacity_used_blocks
+    );
+    assert!(
+        select.writes_removed_pct() > 30.0,
+        "Fig. 11: Select removes {:.1}% of mail writes",
+        select.writes_removed_pct()
     );
 }
 
