@@ -1,9 +1,8 @@
 //! O(1) LRU cache over a slab-allocated intrusive doubly-linked list.
 //!
 //! No `unsafe`: the list is threaded through a `Vec` of nodes addressed
-//! by index, with a free list for recycling. A `HashMap` (deterministic
-//! FNV hashing, so simulation runs are reproducible) maps keys to node
-//! slots.
+//! by index, with a free list for recycling. A `HashMap` over the
+//! deterministic one-word [`KeyBuildHasher`] maps keys to node slots.
 //!
 //! The index table and read cache of POD are both LRU-managed (paper
 //! §III-B: "The Index table in our POD design is organized in an LRU
@@ -11,7 +10,7 @@
 //! [`LruCache::set_capacity`] returns the entries spilled by a shrink so
 //! the caller can swap them out to the reserved disk region.
 
-use pod_hash::fnv::FnvBuildHasher;
+use pod_hash::KeyBuildHasher;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -45,7 +44,7 @@ struct Node<K, V> {
 /// ```
 #[derive(Debug)]
 pub struct LruCache<K, V> {
-    map: HashMap<K, usize, FnvBuildHasher>,
+    map: HashMap<K, usize, KeyBuildHasher>,
     slab: Vec<Option<Node<K, V>>>,
     free: Vec<usize>,
     /// Most recently used node.

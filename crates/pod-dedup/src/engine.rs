@@ -22,8 +22,9 @@ use crate::classify::{
 };
 use crate::index::{IndexState, IndexTable};
 use crate::store::{ChunkStore, MapState};
-use crate::table::FpMap;
+use pod_hash::KeyBuildHasher;
 use pod_types::{Fingerprint, Introspect, IoRequest, Lba, Pba, PodResult};
+use std::collections::HashMap;
 
 /// Which deduplication scheme the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -364,7 +365,7 @@ pub struct DedupEngine {
     index: IndexTable,
     /// Full-Dedupe's complete fingerprint index (the on-disk portion);
     /// consulting it on a RAM miss costs a disk lookup.
-    disk_index: FpMap,
+    disk_index: HashMap<Fingerprint, Pba, KeyBuildHasher>,
     counters: EngineCounters,
     /// Rolling consult counter driving the deterministic page-fault
     /// model (see `DedupConfig::index_page_fault_rate`).
@@ -381,13 +382,14 @@ impl DedupEngine {
         let expected = cfg.expected_unique_blocks as usize;
         let store = ChunkStore::with_capacity(cfg.logical_blocks, cfg.overflow_blocks, expected);
         let index = IndexTable::with_byte_budget(cfg.index_budget_bytes);
-        let disk_index = if expected > 0
-            && matches!(policy, DedupPolicy::FullDedupe | DedupPolicy::PostProcess)
-        {
-            FpMap::with_capacity(expected)
-        } else {
-            FpMap::new()
-        };
+        let disk_index_capacity =
+            if matches!(policy, DedupPolicy::FullDedupe | DedupPolicy::PostProcess) {
+                expected
+            } else {
+                0
+            };
+        let disk_index =
+            HashMap::with_capacity_and_hasher(disk_index_capacity, KeyBuildHasher::default());
         Self {
             policy,
             cfg,
@@ -527,7 +529,7 @@ impl DedupEngine {
                 if self.consults.is_multiple_of(self.cfg.index_page_fault_rate) {
                     disk_lookups += 1;
                 }
-                if let Some(pba) = self.disk_index.get(&fp) {
+                if let Some(pba) = self.disk_index.get(&fp).copied() {
                     cand = Some(pba);
                     // Promote into the hot index.
                     if let Some(v) = self.index.insert(fp, pba) {
@@ -656,15 +658,22 @@ impl DedupEngine {
     /// initializes `Count` on insert) — and the PostProcess scan
     /// backlog, whose queued chunks are merely missed dedup
     /// opportunities, never a correctness loss.
+    ///
+    /// The Index is refilled in ascending PBA order, never in the Map
+    /// table's internal order: an over-budget rebuild keeps the
+    /// highest PBAs, and when one fingerprint has two live copies the
+    /// higher PBA wins — whatever the table layout.
     pub fn recover_after_crash(&mut self) -> PodResult<RecoveryOutcome> {
         // The Map table must be exactly recoverable from its journal,
         // or "recovery" would be fabricating state.
         self.store.verify_journal_recovery()?;
 
+        let mut live: Vec<(Pba, Fingerprint)> = self.store.contents().collect();
+        live.sort_unstable_by_key(|&(pba, _)| pba);
         let mut fresh = IndexTable::with_byte_budget(self.index.capacity_bytes());
         let mut rebuilt = 0u64;
         let mut dropped = 0u64;
-        for (pba, fp) in self.store.contents() {
+        for (pba, fp) in live {
             if fresh.insert(fp, pba).is_some() {
                 dropped += 1;
             }
@@ -721,7 +730,7 @@ impl DedupEngine {
                 continue;
             }
             pbas.push(current);
-            match self.disk_index.get(&fp) {
+            match self.disk_index.get(&fp).copied() {
                 // A canonical copy exists elsewhere and is still live
                 // and identical: remap and free the duplicate.
                 Some(canon) if canon != current && self.store.content_at(canon) == Some(fp) => {
@@ -1232,6 +1241,33 @@ mod tests {
         assert_eq!(outcome.scan_backlog_dropped, 4);
         assert_eq!(e.scan_backlog(), 0);
         assert_eq!(e.index().len(), 2);
+    }
+
+    #[test]
+    fn crash_recovery_rebuilds_in_ascending_pba_order() {
+        // Native keeps every copy: content 7 is live at PBAs 2 and 20.
+        let mut e = DedupEngine::new(
+            DedupPolicy::Native,
+            DedupConfig {
+                index_budget_bytes: 2 * crate::index::INDEX_ENTRY_BYTES,
+                logical_blocks: 1_000,
+                overflow_blocks: 1_000,
+                ..DedupConfig::default()
+            },
+        );
+        for (i, (lba, content)) in [(30, 5), (20, 7), (10, 3), (2, 7)].into_iter().enumerate() {
+            e.process_write(&wreq(i as u64, lba, &[content]))
+                .expect("w");
+        }
+        let outcome = e.recover_after_crash().expect("recovery");
+        // PBA order 2:7, 10:3, 20:7 (refreshes 7), 30:5 (evicts 3).
+        assert_eq!(outcome.index_entries_rebuilt, 4);
+        assert_eq!(outcome.index_entries_evicted, 1);
+        assert_eq!(e.index().peek(&fp(7)).map(|x| x.pba), Some(Pba::new(20)));
+        assert_eq!(e.index().peek(&fp(5)).map(|x| x.pba), Some(Pba::new(30)));
+        assert_eq!(e.index().peek(&fp(3)), None);
+        let lru_first = e.index_mut().resize_bytes(0);
+        assert_eq!(lru_first, vec![fp(7), fp(5)]);
     }
 
     #[test]

@@ -17,9 +17,40 @@
 //! 20-byte-per-entry footprint is the §IV-D2 overhead number.
 
 use crate::journal::MapJournal;
-use crate::table::ShardedMap;
 use pod_disk::{AllocState, BlockStore, NvramModel};
+use pod_hash::KeyBuildHasher;
 use pod_types::{log2_bucket8, Fingerprint, Introspect, Lba, Pba, PodError, PodResult};
+use std::collections::HashMap;
+
+/// Everything the Map table knows about one block number `b`: where
+/// LBA `b` is mapped, and the refcount and content of PBA `b`. Home
+/// PBA = LBA, so an in-place write touches one record.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    /// PBA that LBA `b` maps to, or [`UNMAPPED`] (never written, or
+    /// `b` is an overflow block and has no LBA).
+    mapped: u64,
+    /// References to PBA `b` (0 = free).
+    refs: u32,
+    /// Content stored at PBA `b`; meaningful only while `refs > 0`.
+    content: Fingerprint,
+}
+
+/// `Block::mapped` of a block number with no live mapping.
+const UNMAPPED: u64 = u64::MAX;
+
+impl Block {
+    const FREE: Block = Block {
+        mapped: UNMAPPED,
+        refs: 0,
+        content: Fingerprint::ZERO,
+    };
+
+    #[inline]
+    fn mapped(&self) -> Option<u64> {
+        (self.mapped != UNMAPPED).then_some(self.mapped)
+    }
+}
 
 /// Mapping + refcount + content state of the deduplicated block space.
 #[derive(Debug)]
@@ -29,12 +60,13 @@ pub struct ChunkStore {
     /// Extent allocator for the overflow region. PBAs returned are
     /// offset by `logical_blocks`.
     overflow: BlockStore,
-    /// Current physical location of each written logical block.
-    mapping: ShardedMap<u64, u64>,
-    /// Reference count per live physical block.
-    refs: ShardedMap<u64, u32>,
-    /// Content currently stored in each live physical block.
-    content: ShardedMap<u64, Fingerprint>,
+    /// One record per block number that is mapped or live; a record
+    /// that is neither is dropped.
+    blocks: HashMap<u64, Block, KeyBuildHasher>,
+    /// Logical blocks with a live mapping.
+    mapped: u64,
+    /// Live physical blocks (refcount ≥ 1).
+    live: u64,
     /// NVRAM accounting for redirected (deduplicated) map entries.
     nvram: NvramModel,
     /// Count of mapping entries whose PBA differs from home.
@@ -81,21 +113,31 @@ impl ChunkStore {
         Self::with_capacity(logical_blocks, overflow_blocks, 0)
     }
 
-    /// Like [`ChunkStore::new`], but with the block-state tables
-    /// pre-sized for `expected_blocks` live entries (from trace
-    /// statistics), so steady-state replay never rehashes. 0 = grow on
-    /// demand.
+    /// Like [`ChunkStore::new`], but with the block table pre-sized
+    /// from trace statistics so replay never rehashes. `expected_blocks`
+    /// is the trace's written blocks capped at the logical span
+    /// (`DedupConfig::expected_unique_blocks`); 0 = grow on demand.
+    ///
+    /// Each record (a mapped LBA or a live overflow block) is created by
+    /// a block write, so there are never more records than written
+    /// blocks. When the cap bites, the bound is instead every home
+    /// block plus the whole overflow region.
     pub fn with_capacity(
         logical_blocks: u64,
         overflow_blocks: u64,
         expected_blocks: usize,
     ) -> Self {
+        let records = if expected_blocks > 0 && expected_blocks as u64 >= logical_blocks {
+            (logical_blocks + overflow_blocks) as usize
+        } else {
+            expected_blocks
+        };
         Self {
             logical_blocks,
             overflow: BlockStore::new(overflow_blocks),
-            mapping: sized_table(expected_blocks),
-            refs: sized_table(expected_blocks),
-            content: sized_table(expected_blocks),
+            blocks: HashMap::with_capacity_and_hasher(records, KeyBuildHasher::default()),
+            mapped: 0,
+            live: 0,
             nvram: NvramModel::new(),
             redirected: 0,
             journal: MapJournal::new(),
@@ -111,8 +153,7 @@ impl ChunkStore {
     /// Compact the journal to the live redirected set, returning bytes
     /// saved. (A deployment would do this when the NVRAM region fills.)
     pub fn checkpoint_journal(&mut self) -> usize {
-        let live: std::collections::HashMap<u64, u64> =
-            self.mapping.iter().filter(|&(l, p)| l != p).collect();
+        let live = self.redirections();
         self.journal.checkpoint(&live)
     }
 
@@ -120,8 +161,7 @@ impl ChunkStore {
     /// redirected mapping — the crash-recovery correctness property.
     pub fn verify_journal_recovery(&self) -> PodResult<()> {
         let recovered = self.journal.replay()?;
-        let live: std::collections::HashMap<u64, u64> =
-            self.mapping.iter().filter(|&(l, p)| l != p).collect();
+        let live = self.redirections();
         if recovered != live {
             return Err(PodError::Inconsistency(format!(
                 "journal recovers {} redirections, live state has {}",
@@ -130,6 +170,14 @@ impl ChunkStore {
             )));
         }
         Ok(())
+    }
+
+    /// Every mapping whose PBA differs from home, LBA → PBA.
+    fn redirections(&self) -> HashMap<u64, u64> {
+        self.blocks
+            .iter()
+            .filter_map(|(&lba, rec)| rec.mapped().filter(|&p| p != lba).map(|p| (lba, p)))
+            .collect()
     }
 
     /// Logical (home-region) size in blocks.
@@ -145,20 +193,33 @@ impl ChunkStore {
 
     /// Current physical location of `lba`, if it has ever been written.
     pub fn lookup(&self, lba: Lba) -> Option<Pba> {
-        self.mapping.get(&lba.raw()).map(Pba::new)
+        self.mapping_of(lba.raw()).map(Pba::new)
+    }
+
+    #[inline]
+    fn mapping_of(&self, lba: u64) -> Option<u64> {
+        self.blocks.get(&lba).and_then(Block::mapped)
     }
 
     /// Content stored at a physical block, if live.
     pub fn content_at(&self, pba: Pba) -> Option<Fingerprint> {
-        self.content.get(&pba.raw())
+        self.blocks
+            .get(&pba.raw())
+            .filter(|rec| rec.refs > 0)
+            .map(|rec| rec.content)
     }
 
     /// Every live physical block with its stored content, in the
-    /// table's (deterministic) internal order. Crash recovery rebuilds
-    /// the volatile fingerprint index from this — the Map table and
-    /// the content it references are the persistent truth.
+    /// table's internal order (deterministic for one history, but
+    /// otherwise unspecified: sort before anything order-sensitive).
+    /// Crash recovery rebuilds the volatile fingerprint index from
+    /// this — the Map table and the content it references are the
+    /// persistent truth.
     pub fn contents(&self) -> impl Iterator<Item = (Pba, Fingerprint)> + '_ {
-        self.content.iter().map(|(p, fp)| (Pba::new(p), fp))
+        self.blocks
+            .iter()
+            .filter(|(_, rec)| rec.refs > 0)
+            .map(|(&p, rec)| (Pba::new(p), rec.content))
     }
 
     /// Deliberately corrupt the content stored at `pba` (fault
@@ -167,15 +228,15 @@ impl ChunkStore {
     /// and refcounts stay intact — exactly the failure a differential
     /// read-back oracle exists to catch.
     pub fn corrupt_content(&mut self, pba: Pba) -> Option<Fingerprint> {
-        let old = self.content.get(&pba.raw())?;
-        let bad = Fingerprint::from_content_id(old.prefix_u64() ^ 0xDEAD_BEEF_DEAD_BEEF);
-        self.content.insert(pba.raw(), bad);
-        Some(bad)
+        let rec = self.blocks.get_mut(&pba.raw()).filter(|rec| rec.refs > 0)?;
+        rec.content =
+            Fingerprint::from_content_id(rec.content.prefix_u64() ^ 0xDEAD_BEEF_DEAD_BEEF);
+        Some(rec.content)
     }
 
     /// Reference count of a physical block (0 = free).
     pub fn refcount(&self, pba: Pba) -> u32 {
-        self.refs.get(&pba.raw()).unwrap_or(0)
+        self.blocks.get(&pba.raw()).map_or(0, |rec| rec.refs)
     }
 
     /// Whether `pba` is referenced by more than one logical block.
@@ -185,7 +246,7 @@ impl ChunkStore {
 
     /// Live unique physical blocks — the capacity-used metric (Fig. 10).
     pub fn used_blocks(&self) -> u64 {
-        self.refs.len() as u64
+        self.live
     }
 
     /// NVRAM (Map table) accounting.
@@ -213,81 +274,90 @@ impl ChunkStore {
     /// the PBA the data must be written to on disk.
     ///
     /// Placement: home if free or exclusively ours; otherwise an overflow
-    /// extent. `run_hint` lets the caller pre-allocate a contiguous
-    /// overflow extent for a run of redirected chunks (pass the extent's
-    /// next PBA); `None` means allocate fresh when needed.
+    /// extent. `preallocated` lets the caller place a run of redirected
+    /// chunks in one contiguous overflow extent (pass the extent's next
+    /// PBA from [`ChunkStore::alloc_overflow`]); `None` means allocate
+    /// fresh when needed. Fails with [`PodError::OutOfRange`] when `lba`
+    /// lies outside the logical space: its home would alias an overflow
+    /// block.
     pub fn write_unique(
         &mut self,
         lba: Lba,
         fp: Fingerprint,
         preallocated: Option<Pba>,
     ) -> PodResult<Pba> {
-        let home = lba.raw();
-        let current = self.mapping.get(&home);
-        // Whether this LBA still holds a claim on its old block when we
-        // reach the claim step (released blocks may be recycled by the
-        // allocator as the new target, so the original `current` alone
-        // cannot decide).
-        let mut holds_old_claim = current.is_some();
-
-        // Decide the target physical block. The old copy (if it will not
-        // be overwritten in place) is released *before* any overflow
-        // allocation, so a tight overflow region can recycle it.
-        let target = if let Some(p) = preallocated {
-            if let Some(old) = current {
-                if old != p.raw() {
-                    self.release(old)?;
-                    holds_old_claim = false;
-                }
+        let home = self.check_lba(lba)?;
+        let rec = self.blocks.entry(home).or_insert(Block::FREE);
+        let current = rec.mapped();
+        let home_refs = rec.refs;
+        if preallocated.is_none() {
+            // The common cases touch only the home record: an in-place
+            // overwrite of a block this LBA owns exclusively, or the
+            // first write to a free home.
+            if current == Some(home) && home_refs == 1 {
+                rec.content = fp;
+                return Ok(Pba::new(home));
             }
-            p.raw()
-        } else {
-            let home_refs = self.refs.get(&home).unwrap_or(0);
-            let in_place_ok = home_refs == 0 || (current == Some(home) && home_refs == 1);
-            if in_place_ok {
-                if let Some(old) = current {
-                    if old != home {
-                        self.release(old)?;
-                        holds_old_claim = false;
-                    }
-                }
-                home
-            } else {
-                if let Some(old) = current {
-                    self.release(old)?;
-                    holds_old_claim = false;
-                }
-                self.alloc_overflow(1)?.raw()
+            if current.is_none() && home_refs == 0 {
+                *rec = Block {
+                    mapped: home,
+                    refs: 1,
+                    content: fp,
+                };
+                self.mapped += 1;
+                self.live += 1;
+                self.note_ref_change(0, 1);
+                return Ok(Pba::new(home));
             }
-        };
-
-        // Claim the target unless this is an in-place overwrite of a
-        // block we still exclusively own.
-        let in_place_overwrite = holds_old_claim && current == Some(target);
-        if !in_place_overwrite {
-            *self.refs.get_or_insert(target, 0) += 1;
-            self.note_ref_change(0, 1);
         }
+
+        // Decide the target physical block, where it is known before
+        // allocating: the caller's extent, or home if free or ours.
+        let known = match preallocated {
+            Some(p) => Some(p.raw()),
+            None if home_refs == 0 || (current == Some(home) && home_refs == 1) => Some(home),
+            None => None,
+        };
+        // The old copy is released unless it is the target itself (an
+        // in-place overwrite). Releasing comes before any overflow
+        // allocation, so a tight overflow region can recycle it.
+        let in_place = current.is_some() && current == known;
+        if !in_place {
+            if let Some(old) = current {
+                self.release(old)?;
+            }
+        }
+        let target = match known {
+            Some(t) => t,
+            None => self.alloc_overflow(1)?.raw(),
+        };
+        if !in_place {
+            self.claim(target);
+        }
+        let rec = self
+            .blocks
+            .get_mut(&target)
+            .expect("claimed target is live");
         debug_assert_eq!(
-            self.refs.get(&target).unwrap_or(0),
-            1,
+            rec.refs, 1,
             "a freshly written block must be exclusively referenced"
         );
-        self.content.insert(target, fp);
-        self.mapping.insert(home, target);
-        self.update_redirection(home, current, target);
+        rec.content = fp;
+        self.set_mapping(home, current, target);
         Ok(Pba::new(target))
     }
 
     /// Deduplicate: point `lba` at the existing copy at `target` without
-    /// any data write. Fails if `target` is not live.
+    /// any data write. Fails if `target` is not live, or with
+    /// [`PodError::OutOfRange`] when `lba` lies outside the logical
+    /// space.
     pub fn dedup_to(&mut self, lba: Lba, target: Pba) -> PodResult<()> {
+        let home = self.check_lba(lba)?;
         let t = target.raw();
-        if !self.refs.contains_key(&t) {
+        if self.refcount(target) == 0 {
             return Err(PodError::NotAllocated(t));
         }
-        let home = lba.raw();
-        let current = self.mapping.get(&home);
+        let current = self.mapping_of(home);
         if current == Some(t) {
             // Same-location rewrite of identical content: nothing changes.
             return Ok(());
@@ -295,12 +365,8 @@ impl ChunkStore {
         if let Some(old) = current {
             self.release(old)?;
         }
-        let slot = self.refs.get_or_insert(t, 0);
-        let was = *slot;
-        *slot += 1;
-        self.note_ref_change(was, was + 1);
-        self.mapping.insert(home, t);
-        self.update_redirection(home, current, t);
+        self.claim(t);
+        self.set_mapping(home, current, t);
         Ok(())
     }
 
@@ -321,7 +387,7 @@ impl ChunkStore {
         let mut out: Vec<(Pba, u32)> = Vec::new();
         for i in 0..nblocks as u64 {
             let l = lba.raw() + i;
-            let p = self.mapping.get(&l).unwrap_or(l);
+            let p = self.mapping_of(l).unwrap_or(l);
             match out.last_mut() {
                 Some((start, len)) if start.raw() + *len as u64 == p => *len += 1,
                 _ => out.push((Pba::new(p), 1)),
@@ -338,23 +404,50 @@ impl ChunkStore {
 
     /// Verify internal invariants (used by property tests): the sum of
     /// per-PBA refcounts equals the mapping size, every mapped PBA is
-    /// live, and redirected-count/NVRAM agree.
+    /// live, no record is both unmapped and free, the mapped/live
+    /// counters, redirected-count/NVRAM and the fan-in histogram agree
+    /// with a recount.
     pub fn check_invariants(&self) -> PodResult<()> {
-        let total_refs: u64 = self.refs.iter().map(|(_, c)| c as u64).sum();
-        if total_refs != self.mapping.len() as u64 {
-            return Err(PodError::Inconsistency(format!(
-                "refcount sum {total_refs} != mapping size {}",
-                self.mapping.len()
-            )));
-        }
-        for (lba, pba) in self.mapping.iter() {
-            if !self.refs.contains_key(&pba) {
-                return Err(PodError::Inconsistency(format!(
-                    "lba {lba} maps to dead pba {pba}"
-                )));
+        let mut total_refs = 0u64;
+        let mut live = 0u64;
+        let mut mapped = 0u64;
+        let mut redirected = 0u64;
+        let mut fan_in = [0u64; 8];
+        for (&b, rec) in &self.blocks {
+            if rec.refs > 0 {
+                total_refs += rec.refs as u64;
+                live += 1;
+                fan_in[log2_bucket8(rec.refs as u64)] += 1;
+            }
+            match rec.mapped() {
+                Some(p) => {
+                    mapped += 1;
+                    redirected += u64::from(p != b);
+                    if self.refcount(Pba::new(p)) == 0 {
+                        return Err(PodError::Inconsistency(format!(
+                            "lba {b} maps to dead pba {p}"
+                        )));
+                    }
+                }
+                None if rec.refs == 0 => {
+                    return Err(PodError::Inconsistency(format!(
+                        "block {b} is neither mapped nor live but keeps a record"
+                    )));
+                }
+                None => {}
             }
         }
-        let redirected = self.mapping.iter().filter(|&(l, p)| l != p).count() as u64;
+        if total_refs != mapped {
+            return Err(PodError::Inconsistency(format!(
+                "refcount sum {total_refs} != mapping size {mapped}"
+            )));
+        }
+        if (mapped, live) != (self.mapped, self.live) {
+            return Err(PodError::Inconsistency(format!(
+                "mapped/live counters ({}, {}) != recounted ({mapped}, {live})",
+                self.mapped, self.live
+            )));
+        }
         if redirected != self.redirected {
             return Err(PodError::Inconsistency(format!(
                 "redirected count {} != recomputed {redirected}",
@@ -368,10 +461,6 @@ impl ChunkStore {
                 self.redirected
             )));
         }
-        let mut fan_in = [0u64; 8];
-        for (_, c) in self.refs.iter() {
-            fan_in[log2_bucket8(c as u64)] += 1;
-        }
         if fan_in != self.fan_in {
             return Err(PodError::Inconsistency(format!(
                 "incremental fan-in {:?} != recounted {fan_in:?}",
@@ -381,26 +470,51 @@ impl ChunkStore {
         Ok(())
     }
 
-    fn release(&mut self, pba: u64) -> PodResult<()> {
-        match self.refs.get_mut(&pba) {
-            Some(c) if *c > 1 => {
-                let was = *c;
-                *c -= 1;
-                self.note_ref_change(was, was - 1);
-                Ok(())
-            }
-            Some(_) => {
-                self.refs.remove(&pba);
-                self.content.remove(&pba);
-                self.note_ref_change(1, 0);
-                if pba >= self.logical_blocks {
-                    // Return the overflow block to its allocator.
-                    self.overflow.decref(Pba::new(pba - self.logical_blocks))?;
-                }
-                Ok(())
-            }
-            None => Err(PodError::NotAllocated(pba)),
+    /// `lba` as a block number, if it lies in the logical space.
+    #[inline]
+    fn check_lba(&self, lba: Lba) -> PodResult<u64> {
+        if lba.raw() < self.logical_blocks {
+            Ok(lba.raw())
+        } else {
+            Err(PodError::OutOfRange {
+                what: "lba",
+                value: lba.raw(),
+                limit: self.logical_blocks,
+            })
         }
+    }
+
+    /// Add one reference to `pba`, creating its record if needed.
+    fn claim(&mut self, pba: u64) {
+        let rec = self.blocks.entry(pba).or_insert(Block::FREE);
+        let was = rec.refs;
+        rec.refs += 1;
+        if was == 0 {
+            self.live += 1;
+        }
+        self.note_ref_change(was, was + 1);
+    }
+
+    fn release(&mut self, pba: u64) -> PodResult<()> {
+        let Some(rec) = self.blocks.get_mut(&pba).filter(|rec| rec.refs > 0) else {
+            return Err(PodError::NotAllocated(pba));
+        };
+        let was = rec.refs;
+        rec.refs -= 1;
+        let unmapped = rec.mapped().is_none();
+        self.note_ref_change(was, was - 1);
+        if was > 1 {
+            return Ok(());
+        }
+        if unmapped {
+            self.blocks.remove(&pba);
+        }
+        self.live -= 1;
+        if pba >= self.logical_blocks {
+            // Return the overflow block to its allocator.
+            self.overflow.decref(Pba::new(pba - self.logical_blocks))?;
+        }
+        Ok(())
     }
 
     /// Move a block between fan-in buckets as its refcount changes (0
@@ -414,7 +528,14 @@ impl ChunkStore {
         }
     }
 
-    fn update_redirection(&mut self, home: u64, old: Option<u64>, new: u64) {
+    /// Map `home` (an LBA, previously mapped to `old`) to `new`, keeping
+    /// the mapped count, the NVRAM redirected set and the journal in
+    /// step.
+    fn set_mapping(&mut self, home: u64, old: Option<u64>, new: u64) {
+        self.blocks.entry(home).or_insert(Block::FREE).mapped = new;
+        if old.is_none() {
+            self.mapped += 1;
+        }
         let was_redirected = matches!(old, Some(p) if p != home);
         let is_redirected = new != home;
         match (was_redirected, is_redirected) {
@@ -446,7 +567,7 @@ impl Introspect for ChunkStore {
 
     fn introspect(&self) -> MapState {
         MapState {
-            mapped: self.mapping.len() as u64,
+            mapped: self.mapped,
             unique_blocks: self.fan_in[0],
             shared_blocks: self.shared_blocks(),
             redirected: self.redirected,
@@ -456,15 +577,6 @@ impl Introspect for ChunkStore {
             fan_in: self.fan_in,
             overflow: self.overflow.introspect(),
         }
-    }
-}
-
-/// A block-state table, pre-sized when an expected entry count is known.
-fn sized_table<V: Copy>(expected: usize) -> ShardedMap<u64, V> {
-    if expected > 0 {
-        ShardedMap::with_capacity(expected)
-    } else {
-        ShardedMap::new()
     }
 }
 
@@ -545,6 +657,30 @@ mod tests {
         let p = s.write_unique(Lba::new(1), fp(11), None).expect("w3");
         assert_ne!(p.raw(), 1);
         assert_eq!(s.content_at(Pba::new(1)), Some(fp(9)));
+        s.check_invariants().expect("invariants");
+    }
+
+    #[test]
+    fn lba_outside_the_logical_space_is_rejected() {
+        // Home PBA 16 of LBA 16 would be overflow block 0: the first
+        // redirected write would land on it and corrupt LBA 16.
+        let mut s = ChunkStore::new(16, 16);
+        let out_of_range = PodError::OutOfRange {
+            what: "lba",
+            value: 16,
+            limit: 16,
+        };
+        assert_eq!(
+            s.write_unique(Lba::new(16), fp(1), None),
+            Err(out_of_range.clone())
+        );
+        s.write_unique(Lba::new(1), fp(2), None).expect("w");
+        assert_eq!(s.dedup_to(Lba::new(16), Pba::new(1)), Err(out_of_range));
+        s.dedup_to(Lba::new(2), Pba::new(1)).expect("dedup");
+        let p = s.write_unique(Lba::new(1), fp(3), None).expect("redirect");
+        assert_eq!(p, Pba::new(16), "first overflow block");
+        assert_eq!(s.lookup(Lba::new(16)), None);
+        assert_eq!(s.content_at(Pba::new(1)), Some(fp(2)));
         s.check_invariants().expect("invariants");
     }
 

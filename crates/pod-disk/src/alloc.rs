@@ -9,7 +9,7 @@
 //! contiguously like a real allocator), per-block reference counts, and
 //! the used-capacity number that Fig. 10 reports.
 
-use pod_hash::fnv::FnvBuildHasher;
+use pod_hash::KeyBuildHasher;
 use pod_types::{Pba, PodError, PodResult};
 use std::collections::HashMap;
 
@@ -23,7 +23,7 @@ pub struct BlockStore {
     free_extents: Vec<(u64, u64)>,
     /// Reference counts of live blocks. Blocks absent from the map are
     /// free (refcount 0).
-    refs: HashMap<u64, u32, FnvBuildHasher>,
+    refs: HashMap<u64, u32, KeyBuildHasher>,
 }
 
 /// Flat gauge snapshot of a [`BlockStore`] (see

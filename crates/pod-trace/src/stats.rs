@@ -13,7 +13,7 @@
 //! before — at the same LBA (a same-content rewrite) or anywhere else.
 
 use crate::synth::Trace;
-use pod_hash::fnv::FnvBuildHasher;
+use pod_hash::KeyBuildHasher;
 use pod_types::Fingerprint;
 use std::collections::{HashMap, HashSet};
 
@@ -108,8 +108,8 @@ pub fn size_redundancy(trace: &Trace) -> Vec<SizeBucket> {
     let mut totals = [0u64; 6];
     let mut redundants = [0u64; 6];
 
-    let mut content_seen: HashSet<Fingerprint, FnvBuildHasher> = HashSet::default();
-    let mut lba_content: HashMap<u64, Fingerprint, FnvBuildHasher> = HashMap::default();
+    let mut content_seen: HashSet<Fingerprint, KeyBuildHasher> = HashSet::default();
+    let mut lba_content: HashMap<u64, Fingerprint, KeyBuildHasher> = HashMap::default();
 
     for r in &trace.requests {
         if !r.op.is_write() {
@@ -194,8 +194,8 @@ impl RedundancyBreakdown {
 /// Compute the Fig. 2 decomposition for `trace`.
 pub fn redundancy_breakdown(trace: &Trace) -> RedundancyBreakdown {
     let mut out = RedundancyBreakdown::default();
-    let mut content_seen: HashSet<Fingerprint, FnvBuildHasher> = HashSet::default();
-    let mut lba_content: HashMap<u64, Fingerprint, FnvBuildHasher> = HashMap::default();
+    let mut content_seen: HashSet<Fingerprint, KeyBuildHasher> = HashSet::default();
+    let mut lba_content: HashMap<u64, Fingerprint, KeyBuildHasher> = HashMap::default();
 
     for r in &trace.requests {
         if !r.op.is_write() {

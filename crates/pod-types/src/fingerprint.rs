@@ -13,8 +13,19 @@ use core::fmt;
 pub const FINGERPRINT_BYTES: usize = 32;
 
 /// A 256-bit content fingerprint.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Fingerprint(pub [u8; FINGERPRINT_BYTES]);
+
+/// Hashes only the 8-byte prefix, as one word: a fingerprint is already
+/// uniform (and a synthetic one carries its distinct content id there),
+/// so a table probe hashes 8 bytes, not 32. `Eq` still compares all 32
+/// bytes, so keys that share a prefix stay distinct.
+impl core::hash::Hash for Fingerprint {
+    #[inline]
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.prefix_u64());
+    }
+}
 
 impl Fingerprint {
     /// The all-zero fingerprint. Used as the canonical fingerprint of a
@@ -66,8 +77,8 @@ impl Fingerprint {
         &self.0
     }
 
-    /// First eight bytes folded to a `u64`, useful as a cheap pre-hash
-    /// for sharding.
+    /// First eight bytes folded to a `u64`: the fingerprint's table hash
+    /// input.
     #[inline]
     pub fn prefix_u64(&self) -> u64 {
         u64::from_le_bytes(self.0[0..8].try_into().expect("8 bytes"))

@@ -100,6 +100,15 @@ impl ModelLru {
     }
 }
 
+/// Fingerprint key `k` whose 8-byte prefix (all that `Fingerprint`'s
+/// hash reads) is the same for every `k`: every probe collides, and
+/// only `Eq`, which compares all 32 bytes, tells the keys apart.
+fn colliding_fp(k: u8) -> Fingerprint {
+    let mut bytes = [0xA5; 32];
+    bytes[31] = k;
+    Fingerprint::from_bytes(bytes)
+}
+
 proptest! {
     #[test]
     fn lru_matches_reference_model(
@@ -107,34 +116,49 @@ proptest! {
         ops in proptest::collection::vec(cache_op(), 1..200),
     ) {
         let mut real = LruCache::<u8, u32>::new(cap);
+        let mut colliding = LruCache::<Fingerprint, u32>::new(cap);
         let mut model = ModelLru { items: Vec::new(), cap };
         for op in ops {
             match op {
                 CacheOp::Insert(k, v) => {
                     real.insert(k, v);
+                    colliding.insert(colliding_fp(k), v);
                     model.insert(k, v);
                 }
                 CacheOp::Get(k) => {
                     let got = real.get(&k).copied();
+                    let got_colliding = colliding.get(&colliding_fp(k)).copied();
                     let want = model.touch(k);
                     prop_assert_eq!(got, want);
+                    prop_assert_eq!(got_colliding, want);
                 }
                 CacheOp::Remove(k) => {
-                    prop_assert_eq!(real.remove(&k), model.remove(k));
+                    let want = model.remove(k);
+                    prop_assert_eq!(real.remove(&k), want);
+                    prop_assert_eq!(colliding.remove(&colliding_fp(k)), want);
                 }
                 CacheOp::PopLru => {
-                    prop_assert_eq!(real.pop_lru(), model.pop_lru());
+                    let want = model.pop_lru();
+                    prop_assert_eq!(real.pop_lru(), want);
+                    prop_assert_eq!(
+                        colliding.pop_lru(),
+                        want.map(|(k, v)| (colliding_fp(k), v))
+                    );
                 }
                 CacheOp::Resize(c) => {
                     real.set_capacity(c as usize);
+                    colliding.set_capacity(c as usize);
                     model.resize(c as usize);
                 }
             }
             prop_assert_eq!(real.len(), model.items.len());
+            prop_assert_eq!(colliding.len(), model.items.len());
             // Full order check: MRU -> LRU.
             let real_order: Vec<u8> = real.iter().map(|(k, _)| *k).collect();
+            let colliding_order: Vec<u8> = colliding.iter().map(|(k, _)| k.0[31]).collect();
             let model_order: Vec<u8> = model.items.iter().map(|(k, _)| *k).collect();
-            prop_assert_eq!(real_order, model_order);
+            prop_assert_eq!(&real_order, &model_order);
+            prop_assert_eq!(colliding_order, model_order);
         }
     }
 }
